@@ -37,16 +37,34 @@ void PatchLe64(std::string* buffer, std::size_t offset, std::uint64_t value) {
   }
 }
 
-std::array<std::uint32_t, 256> MakeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: table[0] is the classic byte-at-a-time table and
+/// table[k][b] is the CRC of byte b followed by k zero bytes, so eight
+/// lookups fold eight input bytes per step.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+std::uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
@@ -64,11 +82,18 @@ std::string TagToString(std::uint32_t tag) {
 }
 
 std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = MakeCrcTable();
+  static const CrcTables t = MakeCrcTables();
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t crc = ~seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
+  for (; n >= 8; n -= 8, bytes += 8) {
+    const std::uint32_t lo = LoadLe32(bytes) ^ crc;
+    const std::uint32_t hi = LoadLe32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++bytes) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
   }
   return ~crc;
 }
@@ -118,17 +143,21 @@ void Writer::EndSection() {
   PatchLe64(&buffer_, length_offset, buffer_.size() - (length_offset + 8));
 }
 
-Status Writer::Finish(std::ostream& out) {
+void Writer::FinishTo(std::string* out) {
   RS_CHECK(open_.empty()) << "Finish() with an unclosed section";
   const std::uint32_t crc = Crc32(buffer_.data(), buffer_.size());
-  std::string trailer;
-  AppendLe(&trailer, crc, 4);
-  out.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-  out.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
+  out->append(buffer_);
+  AppendLe(out, crc, kTrailerBytes);
+  buffer_.resize(kHeaderBytes);  // Magic + version stay; capacity is kept.
+}
+
+Status Writer::Finish(std::ostream& out) {
+  std::string bytes;
+  FinishTo(&bytes);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.flush();
   if (!out.good()) {
-    return Status::IoError(Cat("failed to write snapshot (",
-                               buffer_.size() + kTrailerBytes,
+    return Status::IoError(Cat("failed to write snapshot (", bytes.size(),
                                " bytes) to output stream"));
   }
   return Status::OK();

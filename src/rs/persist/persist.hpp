@@ -112,7 +112,12 @@ class Writer {
   void BeginSection(std::uint32_t tag);
   void EndSection();
 
-  /// Appends the CRC trailer and writes the snapshot to `out`.
+  /// Appends the finished container (buffer + CRC trailer) to `*out` and
+  /// resets the writer to an empty container, keeping its capacity, so a
+  /// long-lived writer encodes record after record without allocating.
+  void FinishTo(std::string* out);
+
+  /// FinishTo() into a fresh buffer, then writes it to `out`.
   Status Finish(std::ostream& out);
 
   /// Encoded size so far (header + sections, without the CRC trailer).

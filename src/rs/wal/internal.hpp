@@ -36,11 +36,11 @@ inline constexpr std::size_t kMinPayloadBytes = 12;
 
 std::uint32_t ReadU32Le(const char* p);
 std::uint64_t ReadU64Le(const char* p);
-void AppendU32Le(std::string* out, std::uint32_t value);
-void AppendU64Le(std::string* out, std::uint64_t value);
 
-/// Frames one record: [lsn u64][len u32][crc u32][payload].
-std::string BuildFrame(std::uint64_t lsn, std::string_view payload);
+/// Seals one record frame in place: `*frame` holds kFrameHeaderBytes of
+/// header space followed by the payload; the header is overwritten with
+/// [lsn u64][len u32][crc u32].
+void SealFrame(std::uint64_t lsn, std::string* frame);
 
 /// Renders the 16-byte segment header for a segment starting at `first_lsn`.
 std::string BuildSegmentHeader(std::uint64_t first_lsn);

@@ -39,13 +39,15 @@ Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
 }
 
-Status WriteAll(int fd, const char* data, std::size_t size,
-                const std::string& what) {
+/// `what` + `path` name the write in the error, built only on failure.
+Status WriteAll(int fd, const char* data, std::size_t size, const char* what,
+                const std::string& path) {
   while (size > 0) {
     const ssize_t n = ::write(fd, data, size);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno(what);
+      const int error = errno;  // Read before the message allocates.
+      return Status::IoError(what + path + ": " + std::strerror(error));
     }
     data += n;
     size -= static_cast<std::size_t>(n);
@@ -57,22 +59,12 @@ Status WriteFileDurable(const std::string& path, const std::string& bytes) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return Errno("cannot open " + path);
-  Status written = WriteAll(fd, bytes.data(), bytes.size(), "write " + path);
+  Status written = WriteAll(fd, bytes.data(), bytes.size(), "write ", path);
   if (written.ok() && ::fsync(fd) != 0) {
     written = Errno("fsync " + path);
   }
   ::close(fd);
   return written;
-}
-
-/// One journal-record payload is a complete rs::persist container holding a
-/// single trace event — the reader revalidates magic/version/CRC for free.
-Result<std::string> EncodePayload(const trace::Event& event) {
-  persist::Writer writer;
-  trace::EncodeEvent(&writer, event);
-  std::ostringstream out(std::ios::binary);
-  RS_RETURN_NOT_OK(writer.Finish(out));
-  return std::move(out).str();
 }
 
 Status DecodePayload(std::string_view payload, trace::Event* event) {
@@ -334,7 +326,7 @@ Status FleetJournal::Open(const std::string& dir,
     }
     const std::string header = internal::BuildSegmentHeader(next_lsn_);
     Status written =
-        WriteAll(fd, header.data(), header.size(), "write header of " + path);
+        WriteAll(fd, header.data(), header.size(), "write header of ", path);
     if (written.ok() && ::fsync(fd) != 0) {
       written = Errno("fsync " + path);
     }
@@ -368,23 +360,17 @@ Status FleetJournal::Open(const std::string& dir,
   return Status::OK();
 }
 
-Status FleetJournal::AppendAttempt(const std::string& frame,
-                                   bool* retryable) {
+Status FleetJournal::AppendAttempt(bool* retryable) {
   *retryable = true;
   // Direct Hit() rather than RS_FAULT_POINT: the injected error must feed
   // the retry loop like a real short write.
   RS_RETURN_NOT_OK(fault::Hit("wal.append"));
   CrashPoint("wal.append.head");
-  Status written = WriteAll(fd_, frame.data(), internal::kFrameHeaderBytes,
-                            "append to " + active_path_);
-  if (written.ok()) {
-    // Two write() calls so a crash at the window between them leaves a
-    // genuinely torn record (frame header, no payload) for recovery to cut.
-    CrashPoint("wal.append.torn");
-    written = WriteAll(fd_, frame.data() + internal::kFrameHeaderBytes,
-                       frame.size() - internal::kFrameHeaderBytes,
-                       "append to " + active_path_);
-  }
+  // The whole frame in one write(): a process crash cannot tear it, so torn
+  // tails come only from power loss or a short write (tools/rs_crashtest
+  // tears final frames itself to keep the repair path covered).
+  const Status written =
+      WriteAll(fd_, frame_.data(), frame_.size(), "append to ", active_path_);
   if (!written.ok()) {
     // A partial record may be on disk; cut back to the record boundary so a
     // retry (fd_ is O_APPEND — the next write lands at the truncated end,
@@ -474,8 +460,8 @@ Status FleetJournal::Rotate() {
       last = Errno("FleetJournal::Rotate: cannot create " + path);
       continue;
     }
-    last = WriteAll(new_fd, header.data(), header.size(),
-                    "write header of " + path);
+    last = WriteAll(new_fd, header.data(), header.size(), "write header of ",
+                    path);
     if (last.ok() && ::fsync(new_fd) != 0) {
       last = Errno("fsync " + path);
     }
@@ -504,14 +490,15 @@ Status FleetJournal::Rotate() {
 
 void FleetJournal::Append(const trace::Event& event) {
   if (!opened_ || !status_.ok()) return;
-  auto payload = EncodePayload(event);
-  if (!payload.ok()) {
-    status_ = payload.status();
-    return;
-  }
-  const std::string frame = internal::BuildFrame(next_lsn_, *payload);
+  // The payload is a complete rs::persist container holding the one event
+  // (the reader revalidates magic/version/CRC for free), encoded by the
+  // reused writer_ straight after the frame's header space in frame_.
+  frame_.resize(internal::kFrameHeaderBytes);
+  trace::EncodeEvent(&writer_, event);
+  writer_.FinishTo(&frame_);
+  internal::SealFrame(next_lsn_, &frame_);
   if (active_records_ > 0 &&
-      active_size_ + frame.size() > policy_.segment_bytes) {
+      active_size_ + frame_.size() > policy_.segment_bytes) {
     const Status rotated = Rotate();
     if (!rotated.ok()) {
       status_ = Status(rotated.code(),
@@ -524,7 +511,7 @@ void FleetJournal::Append(const trace::Event& event) {
   Status appended;
   bool retryable = true;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    appended = AppendAttempt(frame, &retryable);
+    appended = AppendAttempt(&retryable);
     if (appended.ok() || !retryable) break;
   }
   if (!appended.ok()) {
@@ -533,7 +520,7 @@ void FleetJournal::Append(const trace::Event& event) {
                          " (append): " + appended.message());
     return;
   }
-  active_size_ += frame.size();
+  active_size_ += frame_.size();
   ++active_records_;
   ++next_lsn_;
   ++records_since_fsync_;
@@ -646,15 +633,15 @@ Status FleetJournal::Checkpoint(const std::string& user_meta) {
   writer.WriteString(user_meta);
   RS_RETURN_NOT_OK(fleet_->SaveFleetSection(&writer));
   writer.EndSection();
-  std::ostringstream encoded(std::ios::binary);
-  RS_RETURN_NOT_OK(writer.Finish(encoded));
+  std::string encoded;
+  writer.FinishTo(&encoded);
 
   // Durable temp-write + rename by hand (not AtomicWriteFile) so the crash
   // windows between the steps are injectable; same persist.* fault sites.
   const std::string path = dir_ + "/checkpoint.rsnp";
   const std::string tmp = path + ".tmp";
   RS_RETURN_NOT_OK(fault::Hit("persist.write"));
-  RS_RETURN_NOT_OK(WriteFileDurable(tmp, encoded.str()));
+  RS_RETURN_NOT_OK(WriteFileDurable(tmp, encoded));
   CrashPoint("wal.checkpoint.tmp");
   RS_RETURN_NOT_OK(fault::Hit("persist.rename"));
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {

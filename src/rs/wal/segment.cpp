@@ -27,36 +27,31 @@ std::uint64_t ReadU64Le(const char* p) {
   return value;
 }
 
-void AppendU32Le(std::string* out, std::uint32_t value) {
-  for (std::size_t i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
+namespace {
+
+void StoreLe(char* p, std::uint64_t value, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    p[i] = static_cast<char>((value >> (8 * i)) & 0xffu);
   }
 }
 
-void AppendU64Le(std::string* out, std::uint64_t value) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
-  }
-}
+}  // namespace
 
-std::string BuildFrame(std::uint64_t lsn, std::string_view payload) {
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  AppendU64Le(&frame, lsn);
-  AppendU32Le(&frame, static_cast<std::uint32_t>(payload.size()));
-  std::uint32_t crc = persist::Crc32(frame.data(), 12);
-  crc = persist::Crc32(payload.data(), payload.size(), crc);
-  AppendU32Le(&frame, crc);
-  frame.append(payload);
-  return frame;
+void SealFrame(std::uint64_t lsn, std::string* frame) {
+  char* head = frame->data();
+  const std::size_t payload_len = frame->size() - kFrameHeaderBytes;
+  StoreLe(head, lsn, 8);
+  StoreLe(head + 8, payload_len, 4);
+  std::uint32_t crc = persist::Crc32(head, 12);
+  crc = persist::Crc32(head + kFrameHeaderBytes, payload_len, crc);
+  StoreLe(head + 12, crc, 4);
 }
 
 std::string BuildSegmentHeader(std::uint64_t first_lsn) {
-  std::string header;
-  header.reserve(kSegmentHeaderBytes);
-  AppendU32Le(&header, kSegmentMagic);
-  AppendU32Le(&header, kWalLayerVersion);
-  AppendU64Le(&header, first_lsn);
+  std::string header(kSegmentHeaderBytes, '\0');
+  StoreLe(header.data(), kSegmentMagic, 4);
+  StoreLe(header.data() + 4, kWalLayerVersion, 4);
+  StoreLe(header.data() + 8, first_lsn, 8);
   return header;
 }
 

@@ -53,6 +53,7 @@
 #include "rs/api/scaler_fleet.hpp"
 #include "rs/api/serving_tap.hpp"
 #include "rs/common/status.hpp"
+#include "rs/persist/persist.hpp"
 #include "rs/trace/trace.hpp"
 
 namespace rs::wal {
@@ -130,7 +131,7 @@ struct SegmentReport {
 Result<SegmentReport> InspectSegmentFile(const std::string& path);
 
 /// \brief Test-only crash-point hook: called at every named crash window
-///        (wal.append.head, wal.append.torn, wal.fsync.before, ...) so a
+///        (wal.append.head, wal.append.done, wal.fsync.before, ...) so a
 ///        kill-point harness can _Exit mid-operation. Null disarms.
 ///        Not for production use; costs one branch per window when unset.
 using CrashPointHook = void (*)(void* arg, const char* point);
@@ -250,10 +251,10 @@ class FleetJournal final : public api::ServingTap {
   /// Encodes + frames + appends one event; on exhausted retries flips
   /// status_ to broken. The journal's single write path.
   void Append(const trace::Event& event);
-  /// One framed write. `*retryable` comes back false when a failed attempt
-  /// could not be cut back to the record boundary (retrying would corrupt
-  /// the journal mid-file).
-  Status AppendAttempt(const std::string& frame, bool* retryable);
+  /// One write() of frame_. `*retryable` comes back false when a failed
+  /// attempt could not be cut back to the record boundary (retrying would
+  /// corrupt the journal mid-file).
+  Status AppendAttempt(bool* retryable);
   Status Rotate();
   Status MaybeFsync();
   Status FsyncActive();
@@ -285,6 +286,10 @@ class FleetJournal final : public api::ServingTap {
   /// (first_lsn, path) per segment, ascending; back() is active.
   std::vector<std::pair<std::uint64_t, std::string>> segments_;
   api::ScalerFleet* fleet_ = nullptr;
+  /// Reused by every Append, so a record costs no heap allocation once
+  /// they have grown to the largest event seen.
+  persist::Writer writer_;
+  std::string frame_;
 };
 
 /// \brief One-call journaling enablement (the EnableJournal of ISSUE 10,

@@ -145,6 +145,82 @@ TEST(PersistCodecTest, DurationDistributionRawParamsRoundTrip) {
                    .ok());
 }
 
+// Bit-at-a-time CRC-32 (IEEE reflected), the definition Crc32's table
+// slicing must reproduce.
+std::uint32_t ReferenceCrc32(const unsigned char* data, std::size_t n,
+                             std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(PersistCrcTest, MatchesTheStandardCheckValue) {
+  EXPECT_EQ(persist::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(persist::Crc32("", 0), 0u);
+}
+
+TEST(PersistCrcTest, MatchesBitwiseReferenceOverLengthsOffsetsAndSeeds) {
+  stats::Rng rng(20220414);
+  std::vector<unsigned char> bytes(8 + 300);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.NextBounded(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 300; ++n) {
+      const unsigned char* data = bytes.data() + offset;
+      const auto seed = static_cast<std::uint32_t>(rng.NextUint64());
+      ASSERT_EQ(persist::Crc32(data, n), ReferenceCrc32(data, n, 0))
+          << "offset " << offset << ", length " << n;
+      ASSERT_EQ(persist::Crc32(data, n, seed), ReferenceCrc32(data, n, seed))
+          << "offset " << offset << ", length " << n << ", seed " << seed;
+      // Chaining over any split equals one pass over the whole range.
+      const std::size_t cut = n == 0 ? 0 : rng.NextBounded(n + 1);
+      ASSERT_EQ(persist::Crc32(data + cut, n - cut, persist::Crc32(data, cut)),
+                ReferenceCrc32(data, n, 0))
+          << "offset " << offset << ", length " << n << ", cut " << cut;
+    }
+  }
+}
+
+TEST(PersistCodecTest, FinishToAppendsAndResetsForReuse) {
+  const std::string expected = [] {
+    persist::Writer writer;
+    writer.BeginSection(persist::kTagSpec);
+    writer.WriteString("small");
+    writer.EndSection();
+    std::stringstream out;
+    EXPECT_TRUE(writer.Finish(out).ok());
+    return out.str();
+  }();
+  // A reused writer whose previous container was larger must leave no
+  // stale bytes, length or CRC in the next one.
+  persist::Writer writer;
+  writer.BeginSection(persist::kTagSpec);
+  writer.WriteDoubleVector(std::vector<double>(100, 1.5));
+  writer.EndSection();
+  std::string first = "prefix";
+  writer.FinishTo(&first);
+  EXPECT_EQ(first.compare(0, 6, "prefix"), 0);
+  EXPECT_TRUE(persist::Reader::FromBytes(first.substr(6)).ok());
+
+  writer.BeginSection(persist::kTagSpec);
+  writer.WriteString("small");
+  writer.EndSection();
+  std::string second;
+  writer.FinishTo(&second);
+  EXPECT_EQ(second, expected);
+
+  writer.BeginSection(persist::kTagSpec);
+  writer.WriteString("small");
+  writer.EndSection();
+  std::string third = "x";
+  writer.FinishTo(&third);
+  EXPECT_EQ(third, "x" + expected);
+}
+
 // ---------------------------------------------------------------------------
 // Version handshake & corruption robustness
 // ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@
 
 #include "rs/api/api.hpp"
 #include "rs/fault/fault.hpp"
+#include "rs/persist/persist.hpp"
 #include "rs/stats/rng.hpp"
 #include "rs/wal/wal.hpp"
 
@@ -151,6 +152,39 @@ std::vector<std::string> SegmentFiles(const std::string& dir) {
   }
   std::sort(paths.begin(), paths.end());
   return paths;
+}
+
+void PutLe(std::string* out, std::uint64_t value, int width) {
+  for (int i = 0; i < width; ++i) {
+    out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+  }
+}
+
+/// The segment a journal must hold after appending `events` from
+/// `first_lsn`, built independently of the journal's reused buffers: a
+/// fresh persist::Writer + Finish per payload, framed by hand per
+/// docs/WAL_FORMAT.md ([lsn u64][len u32][crc u32][payload]).
+std::string ExpectedSegment(std::uint64_t first_lsn,
+                            const std::vector<trace::Event>& events) {
+  std::string bytes = "RSWJ";
+  PutLe(&bytes, 1, 4);  // Journal layout version.
+  PutLe(&bytes, first_lsn, 8);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    persist::Writer writer;
+    trace::EncodeEvent(&writer, events[i]);
+    std::ostringstream out;
+    EXPECT_TRUE(writer.Finish(out).ok());
+    const std::string payload = std::move(out).str();
+    std::string head;
+    PutLe(&head, first_lsn + i, 8);
+    PutLe(&head, payload.size(), 4);
+    PutLe(&head,
+          persist::Crc32(payload.data(), payload.size(),
+                         persist::Crc32(head.data(), head.size())),
+          4);
+    bytes += head + payload;
+  }
+  return bytes;
 }
 
 /// Runs a journaled session that "crashes" (drops fleet + journal with no
@@ -468,6 +502,13 @@ TEST(WalFaultTest, TransientAppendFaultIsRetriedInvisibly) {
   EXPECT_TRUE(journal.status().ok()) << journal.status().ToString();
   EXPECT_EQ(inject.total_fired(), 1u);
   journal.Detach();
+  // The retried record left no trace: the segment holds exactly the frames
+  // of the 2 registrations + 4 x (2 observes + 1 PlanAll), nothing else.
+  FleetJournal reader;
+  ASSERT_TRUE(reader.Open(dir).ok());
+  EXPECT_EQ(reader.tail().size(), 14u);
+  EXPECT_EQ(Slurp(SegmentFiles(dir).front()),
+            ExpectedSegment(1, reader.tail()));
   std::filesystem::remove_all(dir);
 }
 
@@ -684,6 +725,82 @@ TEST(WalCorruptionTest, MidJournalCorruptionIsAHardErrorNotATornTail) {
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cannot be a torn tail"), std::string::npos)
       << st.ToString();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalFormatTest, ReusedAppendBuffersLeaveNoStaleBytes) {
+  // A large registration (full scaler state) first, then small records of
+  // every other kind: a stale byte, length or CRC carried over from a
+  // longer record in the journal's reused buffers would show here.
+  const std::string dir = TempDir("reuse");
+  FleetJournal journal;
+  ASSERT_TRUE(journal.Open(dir).ok());
+  const api::Scaler big = BuildScaler("robust_hp:target=0.9");
+  const api::Scaler small = BuildScaler("backup_pool");
+  const auto state_of = [](const api::Scaler& scaler) {
+    std::ostringstream out;
+    EXPECT_TRUE(scaler.SaveState(out).ok());
+    return std::move(out).str();
+  };
+  std::vector<trace::Event> events;
+  const auto expect = [&events](trace::EventKind kind, std::uint32_t id) {
+    trace::Event event;
+    event.kind = kind;
+    event.id = id;
+    events.push_back(event);
+    return &events.back();
+  };
+
+  journal.OnRegister("svc-a", big);
+  trace::Event* event = expect(trace::EventKind::kRegister, 1);
+  event->name = "svc-a";
+  event->state = state_of(big);
+  for (int k = 0; k < 3; ++k) {
+    const api::Scaler::ObserveOutcome outcome{k == 1, k == 1};
+    journal.OnObserve("svc-a", 1.0 + k, outcome);
+    event = expect(trace::EventKind::kObserve, 1);
+    event->time = 1.0 + k;
+    event->cold_start = event->cancel_earliest = k == 1;
+  }
+  journal.OnRegister("svc-b", small);
+  event = expect(trace::EventKind::kRegister, 2);
+  event->name = "svc-b";
+  event->state = state_of(small);
+  journal.OnReplaceModel("svc-b", big, /*at_next_plan=*/true);
+  event = expect(trace::EventKind::kReplaceModel, 2);
+  event->state = state_of(big);
+  event->at_next_plan = true;
+  sim::ScalingAction action;
+  action.deletions = 1;
+  action.creation_times = {5.0, 6.5};
+  const api::TapClockMark clock{true, 4.0, 7};
+  journal.OnPlan("svc-a", 4.0, action, clock);
+  event = expect(trace::EventKind::kPlan, 1);
+  event->time = 4.0;
+  event->clock = clock;
+  event->action = action;
+  std::vector<ScalerFleet::TenantPlan> plans(2);
+  plans[0].tenant = "svc-a";
+  plans[0].action = action;
+  plans[1].tenant = "svc-b";
+  plans[1].status = Status::Invalid("plan failed");
+  journal.OnPlanAll(6.0, plans, {clock, api::TapClockMark{}});
+  event = expect(trace::EventKind::kPlanAll, 0);
+  event->time = 6.0;
+  event->plans.resize(2);
+  event->plans[0].id = 1;
+  event->plans[0].clock = clock;
+  event->plans[0].action = action;
+  event->plans[1].id = 2;
+  event->plans[1].ok = false;
+  journal.OnRetire("svc-a");
+  expect(trace::EventKind::kRetire, 1);
+  journal.OnObserve("svc-b", 7.0, {});
+  expect(trace::EventKind::kObserve, 2)->time = 7.0;
+
+  ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
+  EXPECT_EQ(journal.last_lsn(), events.size());
+  EXPECT_EQ(Slurp(SegmentFiles(dir).front()), ExpectedSegment(1, events));
   std::filesystem::remove_all(dir);
 }
 

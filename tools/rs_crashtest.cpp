@@ -6,10 +6,17 @@
 /// forks a victim child that serves a fixed deterministic schedule through
 /// a journaled fleet and `_Exit(3)`s — no destructors, no flushes, the
 /// in-process equivalent of kill -9 — at the K-th crash-point window
-/// (wal.append.head/.torn/.done, wal.fsync.before/.after, wal.rotate.*,
+/// (wal.append.head/.done, wal.fsync.before/.after, wal.rotate.*,
 /// wal.checkpoint.* including the rename window, plus a "serve.op"
-/// boundary point before every operation). The parent then, for every
-/// worker count in --workers:
+/// boundary point before every operation).
+///
+/// The journal writes each record with one write(), so a process kill
+/// cannot tear one; a torn final record is what a power cut mid-write
+/// leaves. The parent plays that crash itself: after the last kill point
+/// and a seeded quarter of the others it truncates the last segment at a
+/// seeded offset inside its final frame (when that record lies past the
+/// registrations and the checkpoint), and recovery must drop exactly that
+/// record. The parent then, for every worker count in --workers:
 ///
 ///   * reopens the journal directory (scan + torn-tail repair),
 ///   * recovers (checkpoint snapshot + journal-tail replay), and
@@ -32,19 +39,23 @@
 ///                [--steps=12] [--workers=0,1,8] [--keep]
 ///   rs_crashtest gen-example <out-file>     # deterministic example segment
 ///
-/// Exit code 0 = every kill point recovered byte-identically; any
-/// divergence, lost record, or recovery failure aborts with a message.
+/// Exit code 0 = every kill point recovered byte-identically and at least
+/// one torn tail was repaired; any divergence, lost record, or recovery
+/// failure aborts with a message.
 /// CI runs a fresh seed every build and prints it for reproduction.
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -221,6 +232,67 @@ std::uint64_t SplitMix64(std::uint64_t* state) {
   return z ^ (z >> 31);
 }
 
+/// A tear the parent made: recovery must end at `last_lsn` and cut exactly
+/// `torn_bytes`.
+struct Tear {
+  std::uint64_t last_lsn = 0;
+  std::size_t torn_bytes = 0;
+};
+
+std::uint64_t LoadLe(const std::string& bytes, std::size_t offset,
+                     std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    value |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(bytes[offset + i]))
+             << (8 * i);
+  }
+  return value;
+}
+
+/// Truncates the last segment of `dir` at a seeded offset strictly inside
+/// its final frame — the torn tail a power cut mid-write leaves. Skipped
+/// (nullopt) unless that frame is intact and past every synced record: no
+/// crash tears those, and the two registrations and a committed
+/// checkpoint (at `checkpoint_lsn`) are synced.
+std::optional<Tear> TearFinalRecord(const std::string& dir,
+                                    std::uint64_t checkpoint_lsn,
+                                    std::uint64_t* stream) {
+  std::string last;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("wal-", 0) == 0) last = std::max(last, name);
+  }
+  if (last.empty()) return std::nullopt;
+  const std::string path = dir + "/" + last;
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // Walk the frames (docs/WAL_FORMAT.md): [lsn u64][len u32][crc u32][...].
+  constexpr std::size_t kSegmentHeader = 16;
+  constexpr std::size_t kFrameHeader = 16;
+  std::size_t frame = 0;
+  std::size_t at = kSegmentHeader;
+  while (at + kFrameHeader <= bytes.size()) {
+    const std::size_t end = at + kFrameHeader + LoadLe(bytes, at + 8, 4);
+    if (end > bytes.size()) break;
+    frame = at;
+    at = end;
+  }
+  if (frame == 0 || at != bytes.size()) return std::nullopt;
+  const std::uint64_t lsn = LoadLe(bytes, frame, 8);
+  const bool checkpointed =
+      std::filesystem::exists(dir + "/checkpoint.rsnp");
+  if (lsn <= (checkpointed ? checkpoint_lsn : 2)) return std::nullopt;
+  const std::size_t frame_bytes = bytes.size() - frame;
+  const std::size_t cut = frame + 1 + SplitMix64(stream) % (frame_bytes - 1);
+  std::filesystem::resize_file(path, cut);
+  return Tear{lsn - 1, cut - frame};
+}
+
 int RunMatrix(const Options& options) {
   namespace fs = std::filesystem;
   const std::size_t total_ops = 3 * options.steps;
@@ -262,6 +334,10 @@ int RunMatrix(const Options& options) {
   for (const std::size_t w : options.workers) std::printf(" %zu", w);
   std::printf(")\n");
 
+  std::uint64_t tear_stream = options.seed ^ 0x7465617273ull;  // "tears"
+  // The mid-schedule checkpoint's LSN: the registrations plus one record
+  // per operation up to it (see VictimRun).
+  const std::uint64_t checkpoint_lsn = 2 + 3 * (options.steps / 2);
   std::size_t crashed = 0;
   std::size_t survived = 0;
   std::size_t torn_repairs = 0;
@@ -286,6 +362,10 @@ int RunMatrix(const Options& options) {
         << k;
     const bool did_crash = WEXITSTATUS(wstatus) == 3;
     did_crash ? ++crashed : ++survived;
+    std::optional<Tear> tear;
+    if (n == 1 || SplitMix64(&tear_stream) % 4 == 0) {
+      tear = TearFinalRecord(dir, checkpoint_lsn, &tear_stream);
+    }
 
     // Recover + continue under every worker count; each must match the
     // control run byte-for-byte from its resume point.
@@ -295,6 +375,15 @@ int RunMatrix(const Options& options) {
       const Status opened = journal.Open(dir, VictimPolicy());
       RS_CHECK(opened.ok()) << "kill point " << k << ": " << opened.ToString();
       if (workers == options.workers.front()) {
+        if (tear) {
+          RS_CHECK(journal.last_lsn() == tear->last_lsn &&
+                   journal.open_report().truncated_bytes == tear->torn_bytes)
+              << "kill point " << k << ": a tear of " << tear->torn_bytes
+              << " bytes must drop exactly LSN " << tear->last_lsn + 1
+              << "; recovery ended at LSN " << journal.last_lsn()
+              << " after cutting " << journal.open_report().truncated_bytes
+              << " bytes";
+        }
         torn_repairs += journal.open_report().truncated_bytes > 0 ? 1 : 0;
         dropped_segments += journal.open_report().dropped_segments;
         with_checkpoint += journal.open_report().had_checkpoint ? 1 : 0;
@@ -347,6 +436,9 @@ int RunMatrix(const Options& options) {
     }
   }
   if (!options.keep) fs::remove_all(options.dir, ignored);
+  RS_CHECK(torn_repairs > 0)
+      << "no kill point exercised torn-tail repair (the last kill point is "
+         "always torn)";
 
   std::printf(
       "rs_crashtest: PASS — %zu kill points, every recovery byte-identical "
