@@ -92,18 +92,22 @@ INSTANTIATE_TEST_SUITE_P(
 // Engine-vs-mirror parity: for random workloads and every registry
 // strategy, the online Observe/Plan mirror must emit the exact action
 // sequence of a batch engine replay — including with decision wall time
-// charged through fake DecisionClocks, and with arrivals snapped onto the
-// planning grid so tick/creation/arrival tie-breaking is exercised.
+// charged through fake DecisionClocks, with Table IV's real-environment
+// channels (creation latency, pending jitter, stochastic τ) so the order of
+// pending-time RNG draws is compared too, and with arrivals snapped onto
+// the planning grid so tick/creation/arrival tie-breaking is exercised.
 // ---------------------------------------------------------------------------
 
 struct ParityCase {
   std::uint64_t seed;
   const char* spec;      ///< Registry strategy spec string.
   bool charge;           ///< Charge decision wall time (fake clocks).
+  bool real_env = false; ///< Latency 0.4 s, jitter 0.15, Exp(13 s) pending.
 };
 
 void PrintTo(const ParityCase& c, std::ostream* os) {
-  *os << c.spec << " seed=" << c.seed << (c.charge ? " charged" : "");
+  *os << c.spec << " seed=" << c.seed << (c.charge ? " charged" : "")
+      << (c.real_env ? " real-env" : "");
 }
 
 class ServingParityTest : public ::testing::TestWithParam<ParityCase> {};
@@ -139,6 +143,9 @@ TEST_P(ServingParityTest, MirrorMatchesEngineActionSequence) {
             });
   workload::Trace snapped(queries, test.horizon());
 
+  const auto pending = param.real_env
+                           ? stats::DurationDistribution::Exponential(13.0)
+                           : stats::DurationDistribution::Deterministic(13.0);
   auto spec = api::ParseStrategySpec(param.spec);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   auto build = [&]() {
@@ -149,6 +156,7 @@ TEST_P(ServingParityTest, MirrorMatchesEngineActionSequence) {
         .WithStrategy(*spec)
         .WithPlanningInterval(kTick)
         .WithMcSamples(60)
+        .WithPending(pending)
         .Build();
   };
   auto batch = build();
@@ -159,8 +167,13 @@ TEST_P(ServingParityTest, MirrorMatchesEngineActionSequence) {
   sim::FakeDecisionClock batch_clock(0.125);
   sim::FakeDecisionClock online_clock(0.125);
   sim::EngineOptions engine;
+  engine.pending = pending;
   engine.charge_decision_wall_time = param.charge;
   engine.decision_clock = &batch_clock;
+  if (param.real_env) {
+    engine.creation_latency = 0.4;
+    engine.pending_jitter = 0.15;
+  }
   sim::EngineOptions mirror = engine;
   mirror.decision_clock = &online_clock;
   ASSERT_TRUE(online->ConfigureServing(mirror).ok());
@@ -196,6 +209,12 @@ TEST_P(ServingParityTest, MirrorMatchesEngineActionSequence) {
     }
   }
 
+  // Both paths cold-started the same queries.
+  const auto replay_cold_starts = static_cast<std::size_t>(
+      std::count_if(replay->queries.begin(), replay->queries.end(),
+                    [](const sim::QueryOutcome& q) { return q.cold_start; }));
+  EXPECT_EQ(snap.cold_starts, replay_cold_starts);
+
   // Both paths consulted their decision clocks equally often (and not at
   // all unless charging was requested).
   EXPECT_EQ(batch_clock.readings(), online_clock.readings());
@@ -221,7 +240,13 @@ INSTANTIATE_TEST_SUITE_P(
                    true},
         ParityCase{17, "adaptive_backup_pool:multiplier=40,update_interval=10,"
                        "estimate_window=90",
-                   false}));
+                   false},
+        ParityCase{18, "robust_hp:target=0.9", true, true},
+        ParityCase{19, "robust_cost:target=5.0", false, true},
+        ParityCase{20, "backup_pool:pool_size=2", false, true},
+        ParityCase{21, "adaptive_backup_pool:multiplier=20,update_interval=30,"
+                       "estimate_window=60",
+                   true, true}));
 
 // ---------------------------------------------------------------------------
 // Fleet-vs-sequential parity: for random per-tenant workloads and a random

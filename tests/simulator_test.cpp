@@ -1,10 +1,14 @@
 // Tests for the discrete-event engine: hand-computed Algorithm 1 scenarios
 // (hit / pending / cold start), cost accounting, cancellation semantics,
-// metrics, and the real-environment knobs.
+// scale-in and same-instant event order (the independent reference for the
+// instance lifecycle that replay and serving share), metrics, and the
+// real-environment knobs.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "rs/api/api.hpp"
 #include "rs/simulator/engine.hpp"
 #include "rs/simulator/environment.hpp"
 #include "rs/simulator/metrics.hpp"
@@ -299,6 +303,180 @@ TEST(EngineTest, FakeDecisionClockMakesChargingDeterministic) {
   TickCounter uncharged(10.0, 0.0);
   ASSERT_TRUE(Simulate(trace, &uncharged, opts).ok());
   EXPECT_EQ(idle_clock.readings(), 0u);
+}
+
+/// Scripted lifecycle for the hand-computed reference tests below:
+/// Initialize schedules `creations`, the planning tick at `delete_at`
+/// requests `deletions` scale-ins, and every tick and arrival context is
+/// recorded.
+class LifecycleScript : public Autoscaler {
+ public:
+  LifecycleScript(double interval, std::vector<double> creations,
+                  double delete_at, std::size_t deletions)
+      : interval_(interval),
+        creations_(std::move(creations)),
+        delete_at_(delete_at),
+        deletions_(deletions) {}
+  const char* name() const override { return "lifecycle-script"; }
+  double planning_interval() const override { return interval_; }
+  ScalingAction Initialize(const SimContext&) override {
+    return {.creation_times = creations_, .deletions = 0};
+  }
+  ScalingAction OnPlanningTick(const SimContext& ctx) override {
+    ticks_.push_back(ctx);
+    if (ctx.now != delete_at_) return {};
+    return {.creation_times = {}, .deletions = deletions_};
+  }
+  ScalingAction OnQueryArrival(const SimContext& ctx, bool) override {
+    arrivals_.push_back(ctx);
+    return {};
+  }
+  const std::vector<SimContext>& ticks() const { return ticks_; }
+  const std::vector<SimContext>& arrivals() const { return arrivals_; }
+
+ private:
+  double interval_;
+  std::vector<double> creations_;
+  double delete_at_;
+  std::size_t deletions_;
+  std::vector<SimContext> ticks_;
+  std::vector<SimContext> arrivals_;
+};
+
+TEST(EngineTest, ScaleInEndsNewestInstancesAtTheDeletionInstant) {
+  // Creations at 0, 1, 2 (τ = 1); the tick at 10 deletes two. The newest
+  // two (created at 2, then 1) end at 10; the oldest serves the query at
+  // 15 (a hit) and ends when it finishes at 16.
+  workload::Trace trace({{15.0, 1.0}}, 20.0);
+  LifecycleScript script(10.0, {0.0, 1.0, 2.0}, 10.0, 2);
+  auto result = Simulate(trace, &script, DetPending(1.0));
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->instances.size(), 3u);
+  EXPECT_TRUE(result->queries[0].hit);
+  EXPECT_TRUE(result->instances[0].served_query);
+  EXPECT_DOUBLE_EQ(result->instances[0].end_time, 16.0);
+  EXPECT_DOUBLE_EQ(result->instances[0].lifecycle_cost, 16.0);
+  for (std::size_t i : {1u, 2u}) {
+    const InstanceOutcome& deleted = result->instances[i];
+    EXPECT_FALSE(deleted.served_query) << "instance " << i;
+    EXPECT_DOUBLE_EQ(deleted.end_time, 10.0) << "instance " << i;
+    EXPECT_DOUBLE_EQ(deleted.lifecycle_cost, 10.0 - deleted.creation_time)
+        << "instance " << i;
+  }
+
+  // Charged decision time moves the deletion instant with the action: each
+  // decision costs 0.5 s, so the tick at 10 deletes at 10.5.
+  EngineOptions charged = DetPending(1.0);
+  FakeDecisionClock clock(0.5);
+  charged.charge_decision_wall_time = true;
+  charged.decision_clock = &clock;
+  LifecycleScript charged_script(10.0, {0.0, 1.0, 2.0}, 10.0, 2);
+  auto charged_result = Simulate(trace, &charged_script, charged);
+  ASSERT_TRUE(charged_result.ok());
+  ASSERT_EQ(charged_result->instances.size(), 3u);
+  EXPECT_DOUBLE_EQ(charged_result->instances[1].end_time, 10.5);
+  EXPECT_DOUBLE_EQ(charged_result->instances[1].lifecycle_cost, 9.5);
+  EXPECT_DOUBLE_EQ(charged_result->instances[2].end_time, 10.5);
+  EXPECT_DOUBLE_EQ(charged_result->instances[2].lifecycle_cost, 8.5);
+}
+
+TEST(EngineTest, DeletionsBeyondTheLiveCountAreSkipped) {
+  // At the tick at 10 one instance is live (created at 0) and one creation
+  // is scheduled (for 30); the strategy asks for five deletions. Only the
+  // live instance goes. The excess is dropped, not carried over: the
+  // creation at 30 still executes and serves the query at 40.
+  workload::Trace trace({{40.0, 1.0}}, 50.0);
+  LifecycleScript script(10.0, {0.0, 30.0}, 10.0, 5);
+  auto result = Simulate(trace, &script, DetPending(1.0));
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->instances.size(), 2u);
+  EXPECT_FALSE(result->instances[0].served_query);
+  EXPECT_DOUBLE_EQ(result->instances[0].end_time, 10.0);
+  EXPECT_DOUBLE_EQ(result->instances[0].lifecycle_cost, 10.0);
+  EXPECT_DOUBLE_EQ(result->instances[1].creation_time, 30.0);
+  EXPECT_TRUE(result->instances[1].served_query);
+  EXPECT_TRUE(result->queries[0].hit);
+  EXPECT_FALSE(result->queries[0].cold_start);
+  // The tick at 20 sees nothing live and the creation still scheduled.
+  ASSERT_GE(script.ticks().size(), 3u);
+  EXPECT_EQ(script.ticks()[2].instances_alive, 0u);
+  EXPECT_EQ(script.ticks()[2].scheduled_creations, 1u);
+}
+
+TEST(ServingMirrorTest, PlanForwardsOnlyTheDeletionsItApplied) {
+  // The same script served online: Plan() hands the caller the one
+  // deletion the mirror applied, never the four it skipped, so the
+  // caller's fleet keeps the instances the mirror keeps.
+  static const bool registered = [] {
+    return api::StrategyRegistry::Global()
+        .Register("test_lifecycle_over_delete",
+                  [](const api::StrategySpec&, const api::StrategyContext&)
+                      -> Result<std::unique_ptr<Autoscaler>> {
+                    return std::unique_ptr<Autoscaler>(
+                        std::make_unique<LifecycleScript>(
+                            10.0, std::vector<double>{0.0, 30.0}, 10.0, 5));
+                  })
+        .ok();
+  }();
+  ASSERT_TRUE(registered);
+
+  const double dt = 30.0;
+  auto intensity = *workload::PiecewiseConstantIntensity::Make(
+      std::vector<double>(40, 0.4), dt);
+  stats::Rng rng(5);
+  auto train = *workload::MakeTraceFromIntensity(
+      &rng, intensity, stats::DurationDistribution::Exponential(15.0));
+  auto scaler =
+      api::ScalerBuilder()
+          .WithTrace(train)
+          .WithBinWidth(dt)
+          .WithForecastHorizon(100.0)
+          .WithStrategy({.name = "test_lifecycle_over_delete", .params = {}})
+          .Build();
+  ASSERT_TRUE(scaler.ok()) << scaler.status().ToString();
+
+  auto initial = scaler->Plan(0.0);
+  ASSERT_TRUE(initial.ok());
+  EXPECT_EQ(initial->creation_times, (std::vector<double>{0.0, 30.0}));
+  EXPECT_EQ(initial->deletions, 0u);
+
+  auto plan = scaler->Plan(10.0);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(plan->creation_times.empty());
+  EXPECT_EQ(plan->deletions, 1u);
+  const api::ServingSnapshot snap = scaler->Snapshot();
+  EXPECT_EQ(snap.deletions_requested, 5u);
+  EXPECT_EQ(snap.instances_alive, 0u);
+  EXPECT_EQ(snap.scheduled_creations, 1u);
+}
+
+TEST(EngineTest, TickThenCreationThenArrivalAtOneInstant) {
+  // At t = 5 a planning tick, the creation scheduled for 5 and a query
+  // coincide. The tick runs first: it sees the creation still scheduled
+  // and no arrival yet. The creation runs next, so the query finds its
+  // instance pending (not a cold start) and waits the full τ = 2.
+  workload::Trace trace({{5.0, 1.0}}, 10.0);
+  LifecycleScript script(5.0, {5.0}, /*delete_at=*/-1.0, 0);
+  auto result = Simulate(trace, &script, DetPending(2.0));
+  ASSERT_TRUE(result.ok());
+
+  ASSERT_EQ(script.ticks().size(), 3u);  // 0, 5, 10.
+  const SimContext& tick = script.ticks()[1];
+  EXPECT_DOUBLE_EQ(tick.now, 5.0);
+  EXPECT_EQ(tick.instances_alive, 0u);
+  EXPECT_EQ(tick.scheduled_creations, 1u);
+  EXPECT_EQ(tick.queries_arrived, 0u);
+
+  ASSERT_EQ(result->queries.size(), 1u);
+  EXPECT_FALSE(result->queries[0].cold_start);
+  EXPECT_FALSE(result->queries[0].hit);
+  EXPECT_DOUBLE_EQ(result->queries[0].wait_time, 2.0);
+  ASSERT_EQ(result->instances.size(), 1u);
+  EXPECT_DOUBLE_EQ(result->instances[0].creation_time, 5.0);
+
+  ASSERT_EQ(script.arrivals().size(), 1u);
+  EXPECT_EQ(script.arrivals()[0].queries_arrived, 1u);
+  EXPECT_EQ(script.arrivals()[0].scheduled_creations, 0u);
 }
 
 TEST(EnvironmentTest, PresetsSetExpectedFlags) {
