@@ -164,10 +164,10 @@ class Scaler {
   // window (for dashboards) but never narrows it below the strategy's
   // floor.
   //
-  // Internally the scaler mirrors Algorithm 1's
-  // instance accounting (using the configured pending-time model) so its
-  // action sequence on a trace is identical to the batch replay path —
-  // asserted in tests/api_test.cpp. (Identical to a *fresh* replay: the
+  // Internally the scaler runs Algorithm 1's instance accounting on the
+  // same sim::InstancePool the batch replay path uses (with the configured
+  // pending-time model), so its action sequence on a trace is identical to
+  // a replay's — asserted in tests/api_test.cpp. (Identical to a *fresh* replay: the
   // strategy's Monte Carlo stream is shared between modes, so interleaving
   // Replay() calls perturbs subsequent Plan()s; see Replay's note.)
 
@@ -296,7 +296,6 @@ class Scaler {
   // ScalerFleet needs to carry serving configuration across a model swap.
   const sim::EngineOptions& serving_options() const;
   sim::DecisionClock* serving_clock() const;
-  bool serving_started() const;
   double retention_override() const { return retention_override_; }
 
   /// SaveState minus the container framing, so fleet snapshots can nest
@@ -306,11 +305,6 @@ class Scaler {
   Status LoadServingState(persist::Reader* reader,
                           sim::DecisionClock* restore_clock);
 
-  void EnsureStarted();
-  void AdvanceTo(double t);
-  void ApplyAndBuffer(sim::ScalingAction action, double effective);
-  void ExecuteCreation(double t);
-  sim::SimContext MakeContext(double now) const;
   double EffectiveRetention() const;
   void CompactServingState();
 

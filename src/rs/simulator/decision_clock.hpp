@@ -1,11 +1,12 @@
 /// \file decision_clock.hpp
 /// \brief Injectable clock used to charge decision wall time (Table IV's
-///        "real environment"). The engine and the online serving mirror
-///        both bracket every OnPlanningTick with two readings of the same
-///        abstraction, so replay/serving parity extends to
-///        charge_decision_wall_time runs: under a pair of FakeDecisionClock
-///        instances with identical scripts, the two paths charge identical
-///        decision latencies and schedule identical creation times.
+///        "real environment"). sim::InstancePool, which both the batch
+///        replay and the online serving state run on, brackets every
+///        OnPlanningTick with two readings of this abstraction, so
+///        replay/serving parity extends to charge_decision_wall_time runs:
+///        under a pair of FakeDecisionClock instances with identical
+///        scripts, the two paths charge identical decision latencies and
+///        schedule identical creation times.
 #pragma once
 
 #include <cstddef>
@@ -63,9 +64,8 @@ class DecisionClock {
 /// Returns the decision's action; `*effective_out` becomes the earliest
 /// time the action may take effect: now + max(0, elapsed) when charging,
 /// `now` unchanged otherwise (the clock is not read at all in that case).
-/// The engine and the serving mirror both charge through this single
-/// definition, so the replay/serving parity contract cannot drift between
-/// the two event loops.
+/// sim::InstancePool's event loop, shared by replay and serving, is the
+/// one caller.
 template <typename DecideFn>
 auto ChargedDecision(DecisionClock& clock, bool charge, double now,
                      double* effective_out, DecideFn&& decide) {
@@ -91,7 +91,7 @@ class SteadyDecisionClock final : public DecisionClock {
 ///
 /// A decision bracketed by two readings is therefore charged exactly
 /// `step_seconds`, independent of the host machine — the property the
-/// engine/mirror parity tests rely on. Give each of the two compared runs
+/// replay/serving parity tests rely on. Give each of the two compared runs
 /// its own instance (they each read the clock independently).
 class FakeDecisionClock final : public DecisionClock {
  public:

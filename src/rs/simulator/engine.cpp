@@ -2,90 +2,97 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <limits>
-#include <queue>
 #include <sstream>
 #include <vector>
 
-#include "rs/common/logging.hpp"
-#include "rs/stats/rng.hpp"
-
 namespace rs::sim {
+
+InstancePool::InstancePool(const EngineOptions& options)
+    : rng(options.seed),
+      options_(options),
+      clock_(options.decision_clock != nullptr ? options.decision_clock
+                                               : &own_clock_) {}
+
+std::size_t InstancePool::CountReady(double t) const {
+  std::size_t ready = 0;
+  for (const Instance& inst : live) {
+    if (inst.ready_time <= t) ++ready;
+  }
+  return ready;
+}
+
+SimContext InstancePool::MakeContext(double t) const {
+  SimContext ctx;
+  ctx.now = t;
+  ctx.queries_arrived = total_arrivals;
+  ctx.instances_alive = live.size();
+  ctx.instances_ready = CountReady(t);
+  ctx.scheduled_creations = schedule.size();
+  ctx.arrival_history = &arrivals;
+  return ctx;
+}
+
+InstancePool::Instance InstancePool::Create(double t) {
+  double pending = options_.pending.Sample(&rng);
+  if (options_.pending_jitter > 0.0) {
+    pending *= 1.0 + options_.pending_jitter * (2.0 * rng.NextDouble() - 1.0);
+    pending = std::max(0.0, pending);
+  }
+  const Instance inst{t + options_.creation_latency + pending, created_++};
+  live.push_back(inst);
+  return inst;
+}
+
+Status InstancePool::CheckRestored() const {
+  const auto invalid = [this](const char* field, double value,
+                              const char* rule) {
+    std::ostringstream msg;
+    msg << "restored serving state: `" << field << "` = " << value << " "
+        << rule << " (serving clock at " << now << " s)";
+    return Status::Invalid(msg.str());
+  };
+  if (!std::isfinite(now)) return invalid("now", now, "is not finite");
+  if (!(next_tick > now)) {
+    return invalid("next_tick", next_tick, "must be later than now or +inf");
+  }
+  for (auto pending = schedule; !pending.empty(); pending.pop()) {
+    const double time = pending.top().time;
+    if (!std::isfinite(time) || time < now) {
+      return invalid("schedule", time, "must be finite and not before now");
+    }
+  }
+  for (const Instance& inst : live) {
+    if (!std::isfinite(inst.ready_time)) {
+      return invalid("live", inst.ready_time, "ready time is not finite");
+    }
+  }
+  return Status::OK();
+}
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// An unconsumed instance in creation order.
-struct LiveInstance {
-  std::size_t id = 0;  ///< Index into SimulationResult::instances.
-  double ready_time = 0.0;
-};
-
-class EngineState {
+/// Simulate()'s driver and InstancePool listener: one outcome record per
+/// query and per instance (indexed by the pool's instance ids).
+class Replay {
  public:
-  EngineState(const workload::Trace& trace, Autoscaler* strategy,
-              const EngineOptions& options)
-      : trace_(trace),
-        strategy_(strategy),
-        options_(options),
-        rng_(options.seed),
-        clock_(options.decision_clock != nullptr ? options.decision_clock
-                                                 : &default_clock_),
-        arrivals_seen_() {
-    result_.horizon = trace.horizon();
-  }
+  explicit Replay(const EngineOptions& options) : pool_(options) {}
 
-  Result<SimulationResult> Run() {
-    const auto& queries = trace_.queries();
-    const double horizon = trace_.horizon();
-    const double tick = strategy_->planning_interval();
-
-    // Initial planning at t = 0.
-    ApplyAction(strategy_->Initialize(MakeContext(0.0)), 0.0);
-
-    double next_tick = tick > 0.0 ? 0.0 : kInf;
-    std::size_t qi = 0;
-    for (;;) {
-      const double next_arrival =
-          qi < queries.size() ? queries[qi].arrival_time : kInf;
-      const double next_creation =
-          schedule_.empty() ? kInf : schedule_.top();
-      const double next_event =
-          std::min({next_arrival, next_creation, next_tick});
-      // Horizon boundary: the window is closed on the right — an event at
-      // exactly `horizon` is still processed, matching the serving mirror's
-      // Plan(t)-processes-the-tick-at-t semantics (tests/api_test.cpp pins
-      // a planning tick landing exactly on the horizon).
-      if (next_event == kInf || next_event > horizon) break;
-
-      if (next_tick <= next_creation && next_tick <= next_arrival) {
-        // Planning tick (ties: plan first so fresh decisions see state
-        // before this instant's creations/arrivals are processed — the
-        // decisions themselves cannot act before `now` anyway).
-        const double now = next_tick;
-        double effective = now;
-        ScalingAction action = ChargedDecision(
-            *clock_, options_.charge_decision_wall_time, now, &effective,
-            [&] { return strategy_->OnPlanningTick(MakeContext(now)); });
-        ApplyAction(std::move(action), effective);
-        next_tick = now + tick;
-        continue;
-      }
-      if (next_creation <= next_arrival) {
-        CreateInstance(next_creation);
-        schedule_.pop();
-        continue;
-      }
-      // Query arrival.
-      ProcessArrival(queries[qi]);
-      ++qi;
+  SimulationResult Run(const workload::Trace& trace, Autoscaler* strategy) {
+    const double horizon = trace.horizon();
+    result_.horizon = horizon;
+    for (const workload::Query& query : trace.queries()) {
+      // The window is closed on the right: an event at exactly `horizon`
+      // is still processed (tests/api_test.cpp pins a planning tick landing
+      // exactly on the horizon).
+      if (query.arrival_time > horizon) break;
+      pool_.AdvanceTo(query.arrival_time, strategy, *this);
+      Record(query, pool_.Arrive(query.arrival_time, strategy, *this));
     }
+    pool_.AdvanceTo(horizon, strategy, *this);
 
     // Wind down: charge idle instances to the horizon.
-    if (options_.charge_idle_until_horizon) {
-      for (const auto& inst : live_) {
+    if (pool_.options().charge_idle_until_horizon) {
+      for (const InstancePool::Instance& inst : pool_.live) {
         auto& rec = result_.instances[inst.id];
         rec.end_time = horizon;
         rec.lifecycle_cost = horizon - rec.creation_time;
@@ -94,110 +101,50 @@ class EngineState {
     return std::move(result_);
   }
 
- private:
-  SimContext MakeContext(double now) {
-    SimContext ctx;
-    ctx.now = now;
-    ctx.queries_arrived = arrivals_seen_.size();
-    ctx.instances_alive = live_.size();
-    ctx.instances_ready = CountReady(now);
-    ctx.scheduled_creations = schedule_.size();
-    ctx.arrival_history = &arrivals_seen_;
-    return ctx;
-  }
-
-  std::size_t CountReady(double now) const {
-    std::size_t ready = 0;
-    for (const auto& inst : live_) {
-      if (inst.ready_time <= now) ++ready;
-    }
-    return ready;
-  }
-
-  void ApplyAction(ScalingAction action, double now) {
-    for (double t : action.creation_times) {
-      schedule_.push(std::max(t, now));
-    }
-    // Scale-in: drop latest-created unconsumed instances first (they have
-    // absorbed the least sunk cost).
-    for (std::size_t k = 0; k < action.deletions && !live_.empty(); ++k) {
-      const LiveInstance inst = live_.back();
-      live_.pop_back();
-      auto& rec = result_.instances[inst.id];
-      rec.end_time = now;
-      rec.lifecycle_cost = std::max(0.0, now - rec.creation_time);
-    }
-  }
-
-  /// Executes a creation action at time t: the instance becomes ready at
-  /// t + creation_latency + jittered pending time.
-  void CreateInstance(double t) {
+  void Created(const InstancePool::Instance& inst, double t) {
     InstanceOutcome rec;
     rec.creation_time = t;
-    double pending = options_.pending.Sample(&rng_);
-    if (options_.pending_jitter > 0.0) {
-      pending *= 1.0 + options_.pending_jitter * (2.0 * rng_.NextDouble() - 1.0);
-      pending = std::max(0.0, pending);
-    }
-    rec.ready_time = t + options_.creation_latency + pending;
+    rec.ready_time = inst.ready_time;
     rec.end_time = rec.ready_time;  // Updated on consumption / wind-down.
-    const std::size_t id = result_.instances.size();
     result_.instances.push_back(rec);
-    live_.push_back({id, rec.ready_time});
   }
 
-  void ProcessArrival(const workload::Query& query) {
+  void Applied(ScalingAction /*action*/, double effective,
+               const std::vector<InstancePool::Instance>& scaled_in) {
+    for (const InstancePool::Instance& inst : scaled_in) {
+      auto& rec = result_.instances[inst.id];
+      rec.end_time = effective;
+      rec.lifecycle_cost = std::max(0.0, effective - rec.creation_time);
+    }
+  }
+
+ private:
+  void Record(const workload::Query& query,
+              const InstancePool::Arrival& arrival) {
     const double xi = query.arrival_time;
     QueryOutcome out;
     out.arrival_time = xi;
     out.processing_time = query.processing_time;
-
-    if (live_.empty()) {
-      // Cold start (Algorithm 1 line 7): create reactively and cancel the
-      // earliest still-scheduled creation — that creation was intended for
-      // this query.
-      CreateInstance(xi);
-      if (!schedule_.empty()) {
-        // The cancelled creation never materializes: drop it silently.
-        schedule_.pop();
-      }
-      out.cold_start = true;
-    }
-    const LiveInstance inst = live_.front();
-    live_.pop_front();
-    auto& rec = result_.instances[inst.id];
+    out.cold_start = arrival.cold_start;
+    auto& rec = result_.instances[arrival.instance.id];
     rec.served_query = true;
-
-    if (inst.ready_time <= xi) {
+    if (arrival.instance.ready_time <= xi) {
       // Hit: processing starts immediately (Algorithm 1 line 3).
       out.hit = true;
       out.wait_time = 0.0;
     } else {
       // Pending: wait until the instance finishes startup (line 5).
       out.hit = false;
-      out.wait_time = inst.ready_time - xi;
+      out.wait_time = arrival.instance.ready_time - xi;
     }
     out.response_time = out.wait_time + out.processing_time;
     // Lifecycle: creation -> processing completion (Section VI-A cost_i).
     rec.end_time = xi + out.wait_time + out.processing_time;
     rec.lifecycle_cost = rec.end_time - rec.creation_time;
-
-    arrivals_seen_.push_back(xi);
     result_.queries.push_back(out);
-
-    ApplyAction(strategy_->OnQueryArrival(MakeContext(xi), out.cold_start), xi);
   }
 
-  const workload::Trace& trace_;
-  Autoscaler* strategy_;
-  EngineOptions options_;
-  stats::Rng rng_;
-  SteadyDecisionClock default_clock_;
-  DecisionClock* clock_;
-
-  std::priority_queue<double, std::vector<double>, std::greater<>> schedule_;
-  std::deque<LiveInstance> live_;
-  std::vector<double> arrivals_seen_;
+  InstancePool pool_;
   SimulationResult result_;
 };
 
@@ -228,8 +175,8 @@ Result<SimulationResult> Simulate(const workload::Trace& trace,
     return Status::Invalid("Simulate: trace horizon must be positive");
   }
   RS_RETURN_NOT_OK(ValidateEngineOptions(options));
-  EngineState state(trace, strategy, options);
-  return state.Run();
+  Replay replay(options);
+  return replay.Run(trace, strategy);
 }
 
 }  // namespace rs::sim

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -677,6 +678,98 @@ TEST(PersistScalerParityTest, InjectedClockRequiresReplacementAndContinues) {
   EXPECT_EQ(resumed_clock.readings(), first_clock.readings());
   RunSteps(&restored.ValueOrDie(), script, mid, script.size(), &got);
   EXPECT_TRUE(expected == got);
+}
+
+// ---------------------------------------------------------------------------
+// Restored event-loop position: a snapshot with an intact CRC whose serving
+// clock the event loop could never advance from (a NaN clock made the next
+// Observe spin forever) is refused at restore, naming the field.
+// ---------------------------------------------------------------------------
+
+// Offsets into the MIRR payload (the SaveServingState layout): options and
+// retention take 52 bytes and `started` one, then come `now`, `next_tick`,
+// seven counters, the RNG (41 bytes), the clock position (17 bytes), and
+// the schedule as a count plus (time, seq) pairs, then the live ready
+// times as a count plus values.
+constexpr std::size_t kMirrorNow = 53;
+constexpr std::size_t kMirrorNextTick = 61;
+constexpr std::size_t kMirrorScheduleCount = 183;
+
+std::uint64_t LoadLe64(const std::string& bytes, std::size_t at) {
+  std::uint64_t value = 0;
+  for (int i = 0; i < 8; ++i) {
+    value |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(bytes[at + i]))
+             << (8 * i);
+  }
+  return value;
+}
+
+/// Overwrites the double at `at` and re-seals the container CRC, so only
+/// the restore path's own checks can catch the value.
+std::string PatchDouble(std::string bytes, std::size_t at, double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<char>((bits >> (8 * i)) & 0xFF);
+  }
+  const std::uint32_t crc = persist::Crc32(bytes.data(), bytes.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+  return bytes;
+}
+
+TEST(PersistCorruptionTest, RestoreRejectsClocksTheEventLoopCannotAdvance) {
+  const Workload w = MakePersistWorkload(23);
+  Scaler scaler = BuildScaler(w, "robust_hp:target=0.9");
+  const auto script = MakeScript(w.test);
+  Outcomes ignored;
+  RunSteps(&scaler, script, 0, script.size() / 3, &ignored);
+  const ServingSnapshot snap = scaler.Snapshot();
+  ASSERT_GT(snap.scheduled_creations, 0u);
+  ASSERT_GT(snap.instances_alive, 0u);
+  std::stringstream out;
+  ASSERT_TRUE(scaler.SaveState(out).ok());
+  const std::string bytes = out.str();
+
+  const std::size_t mirror = bytes.find("MIRR");
+  ASSERT_NE(mirror, std::string::npos);
+  const std::size_t payload = mirror + 4 + 8;  // Tag, then length.
+  const std::size_t schedule_count =
+      static_cast<std::size_t>(LoadLe64(bytes, payload + kMirrorScheduleCount));
+  ASSERT_EQ(schedule_count, snap.scheduled_creations);
+  const std::size_t first_scheduled = payload + kMirrorScheduleCount + 8;
+  const std::size_t first_ready = first_scheduled + 16 * schedule_count + 8;
+
+  const auto restore = [](const std::string& snapshot) {
+    std::stringstream in(snapshot);
+    return ScalerBuilder::RestoreState(in);
+  };
+  const auto expect_invalid = [&](std::size_t at, double value,
+                                  const char* field) {
+    auto restored = restore(PatchDouble(bytes, at, value));
+    ASSERT_FALSE(restored.ok()) << field << " = " << value;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(restored.status().message().find(field), std::string::npos)
+        << restored.status().ToString();
+  };
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+
+  // The unpatched snapshot and a disarmed tick cursor (+inf) restore.
+  ASSERT_TRUE(restore(bytes).ok());
+  EXPECT_TRUE(restore(PatchDouble(bytes, payload + kMirrorNextTick, inf)).ok());
+
+  expect_invalid(payload + kMirrorNow, nan, "`now`");
+  expect_invalid(payload + kMirrorNow, inf, "`now`");
+  expect_invalid(payload + kMirrorNextTick, nan, "`next_tick`");
+  expect_invalid(payload + kMirrorNextTick, snap.now, "`next_tick`");
+  expect_invalid(first_scheduled, nan, "`schedule`");
+  expect_invalid(first_scheduled, inf, "`schedule`");
+  expect_invalid(first_scheduled, snap.now - 1.0, "`schedule`");
+  expect_invalid(first_ready, nan, "`live`");
+  expect_invalid(first_ready, -inf, "`live`");
 }
 
 // ---------------------------------------------------------------------------
